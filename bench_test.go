@@ -270,6 +270,7 @@ func BenchmarkSimulateShards8(b *testing.B) { benchSimulateShards(b, 8) }
 // (wall-clock per simulated frame) for profiling the simulator itself.
 func BenchmarkRenderFrameBaseline(b *testing.B) {
 	wl := workload.MustGet("wolf", 320, 240)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Run(wl, core.Options{Design: config.Baseline}); err != nil {
 			b.Fatal(err)
@@ -279,6 +280,7 @@ func BenchmarkRenderFrameBaseline(b *testing.B) {
 
 func BenchmarkRenderFrameATFIM(b *testing.B) {
 	wl := workload.MustGet("wolf", 320, 240)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Run(wl, core.Options{Design: config.ATFIM}); err != nil {
 			b.Fatal(err)

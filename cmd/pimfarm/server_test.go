@@ -190,6 +190,36 @@ func TestAPIBadRequests(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsBadResolution: a width or height outside [1, 4096] used to
+// reach the simulator, where a negative size panicked in makeslice and
+// killed the server. It must be a 400, and the server must keep serving.
+func TestAPIRejectsBadResolution(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, body := range []string{
+		`{"game":"doom3","width":-8,"height":16,"design":"atfim"}`,
+		`{"game":"doom3","width":0,"height":0,"design":"atfim"}`,
+		`{"game":"doom3","width":5000,"height":16,"design":"baseline"}`,
+	} {
+		for _, path := range []string{"/v1/jobs", "/v1/jobs?wait=true"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s %s: %v", path, body, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s %s = %d, want 400", path, body, resp.StatusCode)
+			}
+			decodeErrorBody(t, resp)
+		}
+	}
+	jr, code := postJob(t, ts, `{"game":"doom3","width":16,"height":16,"design":"atfim"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("valid job after rejects = %d, want 202", code)
+	}
+	if got := pollJob(t, ts, jr.ID); got.State != "done" {
+		t.Fatalf("valid job after rejects ended %q", got.State)
+	}
+}
+
 // decodeErrorBody asserts resp carries a JSON error object with the right
 // Content-Type and returns its message.
 func decodeErrorBody(t *testing.T, resp *http.Response) string {

@@ -98,6 +98,9 @@ type shardWorker struct {
 	curDone    int64
 	curNow     int64
 	curCluster int
+	// texReq is the TEX callback's request, kept here so passing it to the
+	// path through the TexturePath interface does not move it to the heap.
+	texReq TexRequest
 
 	// trace is a private ring holding group-local spans; nil when the
 	// frame is not being traced or the worker shares the frame backend.
@@ -310,14 +313,14 @@ func (w *shardWorker) texSample(sampler uint8, coords shader.Vec) shader.Vec {
 	grads.DVDY *= scale
 	foot := computeFootprint(tex, grads, p.effectiveMaxAniso())
 	foot.Angle = f.ViewAngle
-	req := TexRequest{
+	w.texReq = TexRequest{
 		Tex:     tex,
 		U:       coords[0],
 		V:       coords[1],
 		Foot:    foot,
 		Cluster: w.curCluster,
 	}
-	res := w.path.Sample(w.curNow, &req)
+	res := w.path.Sample(w.curNow, &w.texReq)
 	if res.Done > w.curDone {
 		w.curDone = res.Done
 	}

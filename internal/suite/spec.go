@@ -25,6 +25,9 @@ import (
 // SpecSchema identifies the canonical simulation-spec document.
 const SpecSchema = "pim-render/spec/v1"
 
+// MaxDimension bounds a spec's width and height in pixels.
+const MaxDimension = 4096
+
 // Spec is the canonical declarative description of one simulation: which
 // workload, which design, and every ablation knob the simulator exposes.
 // Its JSON form is the pimfarm POST /v1/jobs body, the dist lease grant
@@ -88,6 +91,10 @@ func (s *Spec) Resolve() (Resolved, error) {
 	design, err := config.ParseDesign(s.Design)
 	if err != nil {
 		return Resolved{}, err
+	}
+	if s.Width < 1 || s.Width > MaxDimension || s.Height < 1 || s.Height > MaxDimension {
+		return Resolved{}, fmt.Errorf("resolution %dx%d out of range: width and height must be in [1, %d]",
+			s.Width, s.Height, MaxDimension)
 	}
 	wl, err := workload.Get(s.Game, s.Width, s.Height)
 	if err != nil {

@@ -206,3 +206,32 @@ func TestSpecLabel(t *testing.T) {
 		t.Fatalf("Label()=%q", got)
 	}
 }
+
+// TestResolveRejectsBadResolution: every surface resolves specs here, so
+// a width or height outside [1, MaxDimension] must fail before it can
+// size a framebuffer (negative sizes used to panic in makeslice, and 0x0
+// "succeeded" with a 1-cycle frame).
+func TestResolveRejectsBadResolution(t *testing.T) {
+	cases := []struct {
+		w, h int
+		ok   bool
+	}{
+		{-8, 16, false},
+		{16, -8, false},
+		{0, 0, false},
+		{0, 120, false},
+		{160, 0, false},
+		{MaxDimension + 1, 120, false},
+		{160, MaxDimension + 1, false},
+		{1, 1, true},
+		{160, 120, true},
+		{MaxDimension, MaxDimension, true},
+	}
+	for _, tc := range cases {
+		sp := Spec{Game: "doom3", Width: tc.w, Height: tc.h, Design: "atfim"}
+		_, err := sp.Resolve()
+		if (err == nil) != tc.ok {
+			t.Errorf("Resolve(%dx%d) err = %v, want ok=%v", tc.w, tc.h, err, tc.ok)
+		}
+	}
+}

@@ -294,27 +294,28 @@ func (s *Sampler) bilinearVia(t *Texture, level int, u, v float32, f Footprint, 
 	return LerpColor(top, bot, fy)
 }
 
-// ParentTexelCoords enumerates the 8 (level, x, y) parent-texel coordinates
+// ParentTexelCoords enumerates the (level, x, y) parent-texel coordinates
 // a reordered sample touches, in deterministic order: level-0 corners then
-// level-1 corners. When the LOD needs only one level, 4 coordinates are
-// returned.
-func ParentTexelCoords(t *Texture, u, v float32, f Footprint) []ParentCoord {
+// level-1 corners. It returns them in a fixed array with their count n: 8,
+// or 4 when the LOD needs only one level.
+func ParentTexelCoords(t *Texture, u, v float32, f Footprint) (pcs [8]ParentCoord, n int) {
 	l0, l1, w := trilinearLevels(t, f.Lod)
-	out := make([]ParentCoord, 0, 8)
-	appendLevel := func(level int) {
-		x0, y0, _, _ := bilinearSetup(t, level, u, v)
-		out = append(out,
-			ParentCoord{Level: level, X: x0, Y: y0},
-			ParentCoord{Level: level, X: x0 + 1, Y: y0},
-			ParentCoord{Level: level, X: x0, Y: y0 + 1},
-			ParentCoord{Level: level, X: x0 + 1, Y: y0 + 1},
-		)
-	}
-	appendLevel(l0)
+	n = putLevelCorners(&pcs, 0, t, l0, u, v)
 	if l1 != l0 && w != 0 {
-		appendLevel(l1)
+		n = putLevelCorners(&pcs, n, t, l1, u, v)
 	}
-	return out
+	return pcs, n
+}
+
+// putLevelCorners writes the 4 bilinear corners of (u, v) on level into
+// pcs starting at i and returns the next free index.
+func putLevelCorners(pcs *[8]ParentCoord, i int, t *Texture, level int, u, v float32) int {
+	x0, y0, _, _ := bilinearSetup(t, level, u, v)
+	pcs[i] = ParentCoord{Level: level, X: x0, Y: y0}
+	pcs[i+1] = ParentCoord{Level: level, X: x0 + 1, Y: y0}
+	pcs[i+2] = ParentCoord{Level: level, X: x0, Y: y0 + 1}
+	pcs[i+3] = ParentCoord{Level: level, X: x0 + 1, Y: y0 + 1}
+	return i + 4
 }
 
 // ParentCoord identifies one parent texel.

@@ -180,30 +180,30 @@ type LineTexel struct {
 	Off  int
 }
 
+// LineTexelsPerLine is the number of texels in one 64-byte memory line.
+const LineTexelsPerLine = 16
+
 // LineTexels enumerates the texels stored in the 64-byte memory line that
-// contains texel (x, y) of level lv, together with the line's base address.
-// Under the Morton layout a line is a 4x4 texel block — this is the
-// granularity at which the A-TFIM composing stage groups parent texels
-// ("the same format as a normal bilinear fetch", Section V-D).
-func (t *Texture) LineTexels(lv, x, y int) (lineAddr uint64, texels []LineTexel) {
+// contains texel (x, y) of level lv into the caller-owned out, and returns
+// the line's base address and how many entries of out it filled (fewer
+// than 16 only for levels smaller than a line). Under the Morton layout a
+// line is a 4x4 texel block — this is the granularity at which the A-TFIM
+// composing stage groups parent texels ("the same format as a normal
+// bilinear fetch", Section V-D).
+func (t *Texture) LineTexels(lv, x, y int, out *[LineTexelsPerLine]LineTexel) (lineAddr uint64, n int) {
 	lv = t.ClampLevel(lv)
 	l := &t.Levels[lv]
 	x = wrapCoord(t.Wrap, x, l.W)
 	y = wrapCoord(t.Wrap, y, l.H)
 	idx := texelIndex(t.Layout, l.W, l.H, x, y)
-	const perLine = 16 // 64B line / 4B texel
-	base := idx &^ (perLine - 1)
+	base := idx &^ (LineTexelsPerLine - 1)
 	lineAddr = l.Addr + uint64(base)*4
-	n := perLine
-	if base+n > len(l.Pix) {
-		n = len(l.Pix) - base
-	}
-	texels = make([]LineTexel, 0, n)
+	n = min(LineTexelsPerLine, len(l.Pix)-base)
 	for k := 0; k < n; k++ {
 		tx, ty := inverseTexelIndex(t.Layout, l.W, l.H, base+k)
-		texels = append(texels, LineTexel{X: tx, Y: ty, Off: k * 4})
+		out[k] = LineTexel{X: tx, Y: ty, Off: k * 4}
 	}
-	return lineAddr, texels
+	return lineAddr, n
 }
 
 // ClampLevel clamps a mip level index into the chain.

@@ -176,10 +176,12 @@ func TestTexelAddrDistinctWithinLevel(t *testing.T) {
 func TestLineTexelsCoverWholeLine(t *testing.T) {
 	tx := NewTexture(0, "t", 64, 64, LayoutMorton, WrapRepeat)
 	tx.AssignAddresses(0)
-	lineAddr, texels := tx.LineTexels(0, 13, 27)
-	if len(texels) != 16 {
-		t.Fatalf("line holds %d texels, want 16", len(texels))
+	var buf [LineTexelsPerLine]LineTexel
+	lineAddr, n := tx.LineTexels(0, 13, 27, &buf)
+	if n != 16 {
+		t.Fatalf("line holds %d texels, want 16", n)
 	}
+	texels := buf[:n]
 	offsets := map[int]bool{}
 	for _, lt := range texels {
 		a := tx.TexelAddr(0, lt.X, lt.Y)
@@ -206,9 +208,9 @@ func TestLineTexelsCoverWholeLine(t *testing.T) {
 func TestLineTexelsTinyLevel(t *testing.T) {
 	tx := NewTexture(0, "t", 2, 2, LayoutMorton, WrapRepeat)
 	tx.AssignAddresses(0)
-	_, texels := tx.LineTexels(0, 0, 0)
-	if len(texels) != 4 {
-		t.Fatalf("2x2 level line holds %d texels, want 4", len(texels))
+	var buf [LineTexelsPerLine]LineTexel
+	if _, n := tx.LineTexels(0, 0, 0, &buf); n != 4 {
+		t.Fatalf("2x2 level line holds %d texels, want 4", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package tfim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -43,9 +44,16 @@ type ATFIMPath struct {
 	upPkg   []packageMeter
 	downPkg []packageMeter
 
-	// parentValues resolves parent coords to colors for the reordered
-	// sampler; reused across requests to avoid allocation.
-	parentValues map[texture.ParentCoord]texture.Color
+	// Per-request scratch, reused so Sample never allocates. Each shard
+	// worker builds its own path, so none of it is shared between
+	// goroutines. parentValues holds the color of parents[i] in slot i.
+	parents      [8]texture.ParentCoord
+	nParents     int
+	parentValues [8]texture.Color
+	missing      []parentMiss
+	singles      []parentMiss
+	jobs         []lineJob
+	granules     granuleTable
 
 	// ptb models Parent Texel Buffer back-pressure, banked by requesting
 	// texture unit so one unit's burst does not block the others (the
@@ -61,13 +69,14 @@ type ATFIMPath struct {
 }
 
 // parentMiss records one parent texel that must be computed in memory,
-// together with the cache slots its value will be stored into. fullLine
-// marks compulsory/capacity misses, for which the composing stage computes
-// and returns the whole 16-texel line; angle recalculations recompute only
-// the requested parent texel (Section V-C: "re-fetch from the HMC so that
-// the parent texel can be recalculated").
+// its slot in the request's parent list, and the cache slots its value
+// will be stored into. fullLine marks compulsory/capacity misses, for which
+// the composing stage computes and returns the whole 16-texel line; angle
+// recalculations recompute only the requested parent texel (Section V-C:
+// "re-fetch from the HMC so that the parent texel can be recalculated").
 type parentMiss struct {
 	coord    texture.ParentCoord
+	slot     int
 	l1Line   int
 	l1Off    int
 	l2Line   int
@@ -75,12 +84,25 @@ type parentMiss struct {
 	fullLine bool
 }
 
+// lineJob is one missing memory line the composing stage computes in
+// full: its 16 (fewer on tiny levels) texels and the cache slots they fill.
+type lineJob struct {
+	lineAddr uint64
+	level    int
+	texels   [texture.LineTexelsPerLine]texture.LineTexel
+	n        int
+	l1Line   int
+	l2Line   int
+}
+
 // NewATFIMPath builds the A-TFIM path over the cube.
 func NewATFIMPath(cfg config.Config, cube hmc.Cube) *ATFIMPath {
 	a := &ATFIMPath{
-		cfg:          cfg,
-		cube:         cube,
-		parentValues: make(map[texture.ParentCoord]texture.Color, 16),
+		cfg:     cfg,
+		cube:    cube,
+		missing: make([]parentMiss, 0, 8),
+		singles: make([]parentMiss, 0, 8),
+		jobs:    make([]lineJob, 0, 8),
 	}
 	a.upPkg = make([]packageMeter, cfg.GPU.TextureUnits)
 	a.downPkg = make([]packageMeter, cfg.GPU.TextureUnits)
@@ -129,15 +151,15 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 	angle := req.Foot.Angle
 
 	// 1. Parent texel addresses with anisotropic filtering disabled.
-	parents := texture.ParentTexelCoords(req.Tex, req.U, req.V, req.Foot)
-	a.act.ParentTexelsServed += uint64(len(parents))
-	a.act.GPUTexelFetches += uint64(len(parents))
+	a.parents, a.nParents = texture.ParentTexelCoords(req.Tex, req.U, req.V, req.Foot)
+	nParents := a.nParents
+	a.act.ParentTexelsServed += uint64(nParents)
+	a.act.GPUTexelFetches += uint64(nParents)
 
-	clear(a.parentValues)
-	var missing []parentMiss
+	missing := a.missing[:0]
 	maxHitLat := int64(0)
 
-	for _, pc := range parents {
+	for i, pc := range a.parents[:nParents] {
 		addr := req.Tex.TexelAddr(pc.Level, pc.X, pc.Y)
 		off := int(addr % mem.LineSize)
 		a.act.L1Accesses++
@@ -146,7 +168,7 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 			a.act.AngleRecalcs++
 		}
 		if r1.Hit && a.l1[unit].WordValid(r1.LineIndex, off) {
-			a.parentValues[pc] = texture.Unpack(a.l1[unit].Word(r1.LineIndex, off))
+			a.parentValues[i] = texture.Unpack(a.l1[unit].Word(r1.LineIndex, off))
 			if l1HitLatency > maxHitLat {
 				maxHitLat = l1HitLatency
 			}
@@ -159,7 +181,7 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 		}
 		if r2.Hit && a.l2.WordValid(r2.LineIndex, off) {
 			c := texture.Unpack(a.l2.Word(r2.LineIndex, off))
-			a.parentValues[pc] = c
+			a.parentValues[i] = c
 			// Promote into L1.
 			a.l1[unit].SetWord(r1.LineIndex, off, texture.Pack(c))
 			if l2HitLatency > maxHitLat {
@@ -168,7 +190,7 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 			continue
 		}
 		missing = append(missing, parentMiss{
-			coord: pc, l1Line: r1.LineIndex, l1Off: off,
+			coord: pc, slot: i, l1Line: r1.LineIndex, l1Off: off,
 			l2Line: r2.LineIndex, l2Off: off,
 			// Recalculations refresh the whole line: the line carries one
 			// camera angle (Section V-D), so all of its texels are
@@ -177,6 +199,7 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 		})
 	}
 
+	a.missing = missing
 	memDone := issue + maxHitLat
 	if len(missing) > 0 {
 		memDone = a.offload(issue, unit, req, missing)
@@ -188,10 +211,14 @@ func (a *ATFIMPath) Sample(now int64, req *gpu.TexRequest) gpu.TexResult {
 	// 4. On-chip bilinear + trilinear over the approximated parent texels.
 	color := a.sampler.SampleAnisoReordered(req.Tex, req.U, req.V, req.Foot,
 		func(_ *texture.Texture, level, x, y int, _ texture.Footprint) texture.Color {
-			return a.parentValues[texture.ParentCoord{Level: level, X: x, Y: y}]
+			for i, pc := range a.parents[:a.nParents] {
+				if pc.Level == level && pc.X == x && pc.Y == y {
+					return a.parentValues[i]
+				}
+			}
+			return texture.Color{}
 		})
 
-	nParents := len(parents)
 	addrCost := aluCost(nParents, a.cfg.GPU.AddrALUs)
 	filterCost := aluCost(nParents, a.cfg.GPU.FilterALUs)
 	a.act.GPUFilterOps += uint64(nParents)
@@ -253,48 +280,45 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 	// unique line is computed once, in full (the composing stage returns
 	// whole bilinear-fetch-shaped blocks). Angle recalculations recompute
 	// only their single parent texel.
-	type lineJob struct {
-		level  int
-		texels []texture.LineTexel
-		l1Line int
-		l2Line int
-	}
-	jobs := make(map[uint64]*lineJob, len(missing))
-	order := make([]uint64, 0, len(missing))
-	var singles []parentMiss
+	jobs := a.jobs[:0]
+	singles := a.singles[:0]
 	for _, m := range missing {
 		if !m.fullLine {
 			singles = append(singles, m)
 			continue
 		}
-		lineAddr, texels := tex.LineTexels(m.coord.Level, m.coord.X, m.coord.Y)
-		if _, ok := jobs[lineAddr]; ok {
+		var texels [texture.LineTexelsPerLine]texture.LineTexel
+		lineAddr, n := tex.LineTexels(m.coord.Level, m.coord.X, m.coord.Y, &texels)
+		if hasLineJob(jobs, lineAddr) {
 			// Same cache line; indices agree.
 			continue
 		}
-		jobs[lineAddr] = &lineJob{level: m.coord.Level, texels: texels, l1Line: m.l1Line, l2Line: m.l2Line}
-		order = append(order, lineAddr)
+		jobs = append(jobs, lineJob{lineAddr: lineAddr, level: m.coord.Level,
+			texels: texels, n: n, l1Line: m.l1Line, l2Line: m.l2Line})
 	}
+	a.jobs, a.singles = jobs, singles
 
 	// Texel Generator: one address computation per child texel.
 	children := len(singles) * foot.N
-	for _, la := range order {
-		children += len(jobs[la].texels) * foot.N
+	for i := range jobs {
+		children += jobs[i].n * foot.N
 	}
 	genCost := ceilI64(aluCost(children, a.cfg.TFIM.TexelGenALUs))
 
 	// Child Texel Consolidation + vault fetches over internal bandwidth,
 	// at the fine internal granularity (2x2 texel blocks).
-	granuleSeen := make(map[uint64]int64, 16)
+	a.granules.next()
 	maxMem := arrive + genCost
 	fetch := func(t *texture.Texture, level, x, y int) texture.Color {
 		a.act.PIMTexelFetches++
 		g := t.TexelAddr(level, x, y) &^ uint64(internalGranule-1)
+		var seen *int64
 		if a.cfg.TFIM.Consolidate {
-			if done, ok := granuleSeen[g]; ok {
+			var ok bool
+			if seen, ok = a.granules.slot(g); ok {
 				a.act.ConsolidatedFetches++
-				if done > maxMem {
-					maxMem = done
+				if *seen > maxMem {
+					maxMem = *seen
 				}
 				return t.Texel(level, x, y)
 			}
@@ -302,8 +326,8 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 		done := a.cube.InternalAccess(arrive+genCost, mem.Request{
 			Addr: g, Size: internalGranule, Class: mem.ClassTexture, Kind: mem.Read,
 		})
-		if a.cfg.TFIM.Consolidate {
-			granuleSeen[g] = done
+		if seen != nil {
+			*seen = done
 		}
 		if done > maxMem {
 			maxMem = done
@@ -313,9 +337,9 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 
 	// Combination Unit: average children into every parent texel of each
 	// missing line, then write the line into the GPU texture caches.
-	for _, la := range order {
-		j := jobs[la]
-		for _, lt := range j.texels {
+	for i := range jobs {
+		j := &jobs[i]
+		for _, lt := range j.texels[:j.n] {
 			c := texture.AverageChildren(tex, j.level, lt.X, lt.Y, foot, fetch)
 			packed := texture.Pack(c)
 			a.l1[unit].SetWord(j.l1Line, lt.Off, packed)
@@ -334,7 +358,7 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 
 	// Resolve the requested parents' values from the freshly filled lines.
 	for _, m := range missing {
-		a.parentValues[m.coord] = texture.Unpack(a.l1[unit].Word(m.l1Line, m.l1Off))
+		a.parentValues[m.slot] = texture.Unpack(a.l1[unit].Word(m.l1Line, m.l1Off))
 	}
 
 	filtered := maxMem + combCost
@@ -342,7 +366,7 @@ func (a *ATFIMPath) offload(now int64, unit int, req *gpu.TexRequest, missing []
 	// Response: one line-sized payload per computed line plus one texel
 	// per recalculated parent (grouped by the composing stage to look
 	// like normal bilinear fetch results), framed once per coalesced quad.
-	respPayload := len(order)*mem.LineSize + len(singles)*4
+	respPayload := len(jobs)*mem.LineSize + len(singles)*4
 	done := a.cube.ReturnPacketFrom(filtered, routeAddr, respPayload)
 	a.traffic.Record(mem.ClassTexture, mem.Read,
 		uint32(a.downPkg[unit].bytes(respPayload+cubeCfg.PacketHeaderBytes, respPayload)))
@@ -414,5 +438,83 @@ func (a *ATFIMPath) Reset() {
 	}
 	a.act = gpu.PathActivity{}
 	a.traffic = mem.Traffic{}
-	clear(a.parentValues)
+	a.dbgPTBWait, a.dbgLinkUp, a.dbgVault, a.dbgLinkDown = 0, 0, 0, 0
+	a.parents, a.nParents, a.parentValues = [8]texture.ParentCoord{}, 0, [8]texture.Color{}
+	a.missing, a.singles, a.jobs = a.missing[:0], a.singles[:0], a.jobs[:0]
+	a.granules.next()
+}
+
+// hasLineJob reports whether jobs already computes the line at lineAddr.
+func hasLineJob(jobs []lineJob, lineAddr uint64) bool {
+	for i := range jobs {
+		if jobs[i].lineAddr == lineAddr {
+			return true
+		}
+	}
+	return false
+}
+
+// granuleTable is the Child Texel Consolidation's record of the internal
+// granules one offload has already fetched, with the cycle each fetch
+// completes: an open-addressed hash table keyed by granule address. A slot
+// belongs to the current offload only when stamped with the current epoch,
+// so next() starts a new offload without clearing or reallocating; the
+// table only grows, the first time an offload touches more granules than
+// half its slots.
+type granuleTable struct {
+	epoch uint64
+	used  int
+	shift uint
+	slots []granuleSlot
+}
+
+type granuleSlot struct {
+	addr  uint64
+	done  int64
+	epoch uint64
+}
+
+// next forgets every granule recorded so far; it must precede the first
+// slot call, since epoch 0 marks a never-used slot.
+func (g *granuleTable) next() {
+	g.epoch++
+	g.used = 0
+}
+
+// slot returns the completion cycle recorded for addr in this epoch and
+// true, or claims a slot for addr and returns it with false; the caller
+// then stores the fetch's completion cycle through the pointer, which
+// stays valid until the next call.
+func (g *granuleTable) slot(addr uint64) (*int64, bool) {
+	if 2*(g.used+1) > len(g.slots) {
+		g.grow()
+	}
+	mask := uint64(len(g.slots) - 1)
+	for i := (addr * 0x9e3779b97f4a7c15) >> g.shift; ; i = (i + 1) & mask {
+		s := &g.slots[i]
+		if s.epoch != g.epoch {
+			*s = granuleSlot{addr: addr, epoch: g.epoch}
+			g.used++
+			return &s.done, false
+		}
+		if s.addr == addr {
+			return &s.done, true
+		}
+	}
+}
+
+// grow doubles the table (64 slots at first) and re-inserts the current
+// epoch's granules.
+func (g *granuleTable) grow() {
+	old := g.slots
+	n := max(64, 2*len(old))
+	g.slots = make([]granuleSlot, n)
+	g.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	g.used = 0
+	for _, s := range old {
+		if s.epoch == g.epoch {
+			p, _ := g.slot(s.addr)
+			*p = s.done
+		}
+	}
 }

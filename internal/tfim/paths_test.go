@@ -304,3 +304,29 @@ func TestPackageMeterQuadCoalescing(t *testing.T) {
 		t.Fatalf("coalesced bytes %d want %d", total, 2*64+6*16)
 	}
 }
+
+func TestGranuleTableEpochs(t *testing.T) {
+	var g granuleTable
+	g.next()
+	const n = 1000 // forces several grows with live entries
+	for i := 0; i < n; i++ {
+		p, seen := g.slot(uint64(i) * internalGranule)
+		if seen {
+			t.Fatalf("granule %d seen before it was recorded", i)
+		}
+		*p = int64(i)
+	}
+	for i := 0; i < n; i++ {
+		if p, seen := g.slot(uint64(i) * internalGranule); !seen || *p != int64(i) {
+			t.Fatalf("granule %d: seen=%v done=%d, want true %d", i, seen, *p, i)
+		}
+	}
+	size := len(g.slots)
+	g.next()
+	if _, seen := g.slot(0); seen {
+		t.Fatal("next() did not forget the previous offload's granules")
+	}
+	if len(g.slots) != size {
+		t.Fatalf("table resized from %d to %d slots after next()", size, len(g.slots))
+	}
+}

@@ -1,0 +1,7 @@
+//go:build race
+
+package tfim
+
+// raceEnabled reports a -race build, whose instrumentation allocates and
+// would fail the zero-allocation tests.
+const raceEnabled = true
