@@ -193,28 +193,41 @@ func newCube(cfg config.Config, cubes int) hmc.Cube {
 
 // sceneCache memoizes generated scenes; generation is deterministic per
 // spec and scenes are immutable once addresses are assigned, so runs of
-// different designs share them.
+// different designs share them. The mutex guards only the map: each key's
+// entry is built once, outside it, and concurrent callers of that key wait
+// on the entry, so a cold scene never blocks lookups of other keys.
 var (
 	sceneCacheMu sync.Mutex
-	sceneCache   = map[string]*scene.Scene{}
+	sceneCache   = map[string]*sceneEntry{}
+	// generateScene builds an uncached scene; tests replace it.
+	generateScene = scene.Generate
 )
+
+type sceneEntry struct {
+	once sync.Once
+	sc   *scene.Scene
+}
 
 func cachedScene(spec scene.Spec, compressed bool) *scene.Scene {
 	key := fmt.Sprintf("%s/%d/%v/%v", spec.Name, spec.Seed, spec.Layout, compressed)
 	sceneCacheMu.Lock()
-	defer sceneCacheMu.Unlock()
-	if sc, ok := sceneCache[key]; ok {
-		return sc
+	e := sceneCache[key]
+	if e == nil {
+		e = new(sceneEntry)
+		sceneCache[key] = e
 	}
-	sc := scene.Generate(spec)
-	if compressed {
-		for _, tx := range sc.Textures {
-			tx.Compress()
+	sceneCacheMu.Unlock()
+	e.once.Do(func() {
+		sc := generateScene(spec)
+		if compressed {
+			for _, tx := range sc.Textures {
+				tx.Compress()
+			}
 		}
-	}
-	sc.AssignTextureAddresses(mem.RegionTexture)
-	sceneCache[key] = sc
-	return sc
+		sc.AssignTextureAddresses(mem.RegionTexture)
+		e.sc = sc
+	})
+	return e.sc
 }
 
 // defaultShards is the Shards value applied when Options.Shards is zero;

@@ -201,8 +201,8 @@ func Generate(spec Spec) *Scene {
 			Scale:     float32(4 + rng.Intn(12)),
 		}
 		s.TextureSpecs = append(s.TextureSpecs, tspec)
-		s.Textures = append(s.Textures, texture.Synthesize(i, tspec, spec.Layout))
 	}
+	s.Textures = texture.SynthesizeAll(s.TextureSpecs, spec.Layout)
 	texFor := func() int { return rng.Intn(len(s.Textures)) }
 
 	var b Builder

@@ -2,6 +2,9 @@ package texture
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/xrand"
 )
@@ -74,16 +77,51 @@ func Synthesize(id int, spec SynthSpec, layout Layout) *Texture {
 	if scale <= 0 {
 		scale = 8
 	}
+	// Texel (x, y) of the square base level lands at cols[x] + rows[y]:
+	// part1By1(x) | part1By1(y)<<1 under Morton order, y*n + x under linear.
+	cols, rows := make([]int, n), make([]int, n)
+	for i := range cols {
+		if layout == LayoutLinear {
+			cols[i], rows[i] = i, i*n
+		} else {
+			m := int(part1By1(uint32(i)))
+			cols[i], rows[i] = m, m<<1
+		}
+	}
+	pix := t.Levels[0].Pix
 	for y := 0; y < n; y++ {
+		v := float32(y) / float32(n)
 		for x := 0; x < n; x++ {
 			u := float32(x) / float32(n)
-			v := float32(y) / float32(n)
-			c := synthTexel(spec, u, v, scale)
-			t.SetTexel(0, x, y, c)
+			pix[rows[y]+cols[x]] = Pack(synthTexel(spec, u, v, scale))
 		}
 	}
 	t.BuildMipmaps()
 	return t
+}
+
+// SynthesizeAll builds the texture for every spec, texture i with ID i, on
+// up to GOMAXPROCS goroutines. Each texture depends only on its own spec,
+// so the result is the same as synthesizing them one after another.
+func SynthesizeAll(specs []SynthSpec, layout Layout) []*Texture {
+	out := make([]*Texture, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				out[i] = Synthesize(i, specs[i], layout)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 func synthTexel(spec SynthSpec, u, v, scale float32) Color {

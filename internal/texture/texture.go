@@ -219,28 +219,53 @@ func (t *Texture) ClampLevel(lv int) int {
 
 // BuildMipmaps regenerates levels 1..n from level 0 with a 2x2 box filter
 // (the standard mipmap construction the paper's footnote 1 describes).
+// Every path sums the parent block in the order (x0,y0), (x1,y0), (x0,y1),
+// (x1,y1), so all layouts filter bit-identically.
 func (t *Texture) BuildMipmaps() {
 	for lv := 1; lv < len(t.Levels); lv++ {
 		src := &t.Levels[lv-1]
 		dst := &t.Levels[lv]
-		for y := 0; y < dst.H; y++ {
-			for x := 0; x < dst.W; x++ {
-				x0, y0 := x*2, y*2
-				x1 := minInt(x0+1, src.W-1)
-				y1 := minInt(y0+1, src.H-1)
-				c := t.levelTexel(src, x0, y0).
-					Add(t.levelTexel(src, x1, y0)).
-					Add(t.levelTexel(src, x0, y1)).
-					Add(t.levelTexel(src, x1, y1)).
-					Scale(0.25)
-				dst.Pix[texelIndex(t.Layout, dst.W, dst.H, x, y)] = Pack(c)
+		switch {
+		case t.Layout == LayoutMorton && src.W == src.H:
+			// The parent block of Morton texel m is src[4m..4m+3], already
+			// in summation order.
+			for m := range dst.Pix {
+				p := src.Pix[4*m : 4*m+4]
+				dst.Pix[m] = box2x2(p[0], p[1], p[2], p[3])
+			}
+		case t.Layout == LayoutLinear:
+			for y := 0; y < dst.H; y++ {
+				row0 := src.Pix[2*y*src.W:]
+				row1 := src.Pix[minInt(2*y+1, src.H-1)*src.W:]
+				out := dst.Pix[y*dst.W : (y+1)*dst.W]
+				for x := range out {
+					x0 := 2 * x
+					x1 := minInt(x0+1, src.W-1)
+					out[x] = box2x2(row0[x0], row0[x1], row1[x0], row1[x1])
+				}
+			}
+		default:
+			// Non-square Morton levels tile the longer axis; NewTexture
+			// allows them, Synthesize never makes them.
+			for y := 0; y < dst.H; y++ {
+				for x := 0; x < dst.W; x++ {
+					x0, y0 := x*2, y*2
+					x1 := minInt(x0+1, src.W-1)
+					y1 := minInt(y0+1, src.H-1)
+					dst.Pix[texelIndex(t.Layout, dst.W, dst.H, x, y)] = box2x2(
+						src.Pix[texelIndex(t.Layout, src.W, src.H, x0, y0)],
+						src.Pix[texelIndex(t.Layout, src.W, src.H, x1, y0)],
+						src.Pix[texelIndex(t.Layout, src.W, src.H, x0, y1)],
+						src.Pix[texelIndex(t.Layout, src.W, src.H, x1, y1)])
+				}
 			}
 		}
 	}
 }
 
-func (t *Texture) levelTexel(l *Level, x, y int) Color {
-	return Unpack(l.Pix[texelIndex(t.Layout, l.W, l.H, x, y)])
+// box2x2 averages four packed texels, summing them in argument order.
+func box2x2(a, b, c, d uint32) uint32 {
+	return Pack(Unpack(a).Add(Unpack(b)).Add(Unpack(c)).Add(Unpack(d)).Scale(0.25))
 }
 
 func minInt(a, b int) int {

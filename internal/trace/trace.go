@@ -24,6 +24,14 @@ const (
 	version = 2
 )
 
+// Bounds on the texture recipes Read accepts: the largest base level, and
+// the total base-level storage of all textures (hl2, the largest scene,
+// needs 56 MiB).
+const (
+	maxTextureSize  = 4096
+	maxTextureBytes = 256 << 20
+)
+
 // Header describes a trace file.
 type Header struct {
 	// Name is the workload name the trace was captured from.
@@ -191,10 +199,13 @@ func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 
 	sc := &scene.Scene{Name: hdr.Name}
 
+	// Decode and validate every recipe before synthesizing any, so a
+	// hostile size costs an error, not a panic or a huge allocation.
 	nTex := r.u32()
 	if r.err == nil && nTex > 4096 {
 		return hdr, nil, fmt.Errorf("trace: texture count %d too large", nTex)
 	}
+	var texBytes int
 	for i := uint32(0); i < nTex && r.err == nil; i++ {
 		spec := texture.SynthSpec{
 			Kind: texture.SynthKind(r.u32()),
@@ -211,7 +222,13 @@ func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 		if r.err != nil {
 			break
 		}
-		sc.Textures = append(sc.Textures, texture.Synthesize(int(i), spec, layout))
+		if spec.Size < 1 || spec.Size > maxTextureSize || spec.Size&(spec.Size-1) != 0 {
+			return hdr, nil, fmt.Errorf("trace: texture %d size %d is not a power of two in [1, %d]", i, spec.Size, maxTextureSize)
+		}
+		if texBytes += spec.Size * spec.Size * 4; texBytes > maxTextureBytes {
+			return hdr, nil, fmt.Errorf("trace: textures need over %d MiB of base-level storage", maxTextureBytes>>20)
+		}
+		sc.TextureSpecs = append(sc.TextureSpecs, spec)
 	}
 
 	nVerts := r.u32()
@@ -242,8 +259,8 @@ func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 					return hdr, nil, fmt.Errorf("trace: triangle %d references vertex %d of %d", i, idx, len(sc.Mesh.Vertices))
 				}
 			}
-			if t.TexID < 0 || t.TexID >= len(sc.Textures) {
-				return hdr, nil, fmt.Errorf("trace: triangle %d references texture %d of %d", i, t.TexID, len(sc.Textures))
+			if t.TexID < 0 || t.TexID >= len(sc.TextureSpecs) {
+				return hdr, nil, fmt.Errorf("trace: triangle %d references texture %d of %d", i, t.TexID, len(sc.TextureSpecs))
 			}
 		}
 		sc.Mesh.Triangles = append(sc.Mesh.Triangles, t)
@@ -264,5 +281,6 @@ func Read(in io.Reader, layout texture.Layout) (Header, *scene.Scene, error) {
 	if r.err != nil {
 		return hdr, nil, fmt.Errorf("trace: %w", r.err)
 	}
+	sc.Textures = texture.SynthesizeAll(sc.TextureSpecs, layout)
 	return hdr, sc, nil
 }

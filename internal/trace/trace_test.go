@@ -106,3 +106,49 @@ func TestCorruptIndicesRejected(t *testing.T) {
 		t.Fatal("out-of-range vertex index accepted")
 	}
 }
+
+// recipeTrace encodes a geometry-free trace whose texture recipes have the
+// given sizes.
+func recipeTrace(t *testing.T, sizes ...int) []byte {
+	t.Helper()
+	specs := make([]texture.SynthSpec, len(sizes))
+	for i, n := range sizes {
+		specs[i] = texture.SynthSpec{Kind: texture.SynthChecker, Seed: uint64(i), Size: n}
+	}
+	sc := &scene.Scene{Textures: make([]*texture.Texture, len(specs))}
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{Name: "recipes"}, sc, specs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestHostileTextureSpecsRejected(t *testing.T) {
+	cases := map[string][]int{
+		"size 0":          {0},
+		"size 3":          {3},
+		"size 8192":       {8192},
+		"size 1<<30":      {1 << 30},
+		"over byte cap":   {4096, 4096, 4096, 4096, 4096},
+		"bad after good":  {16, 3},
+		"cap after small": {16, 4096, 4096, 4096, 4096},
+	}
+	for name, sizes := range cases {
+		_, _, err := Read(bytes.NewReader(recipeTrace(t, sizes...)), texture.LayoutMorton)
+		if err == nil {
+			t.Errorf("%s: hostile texture recipe accepted", name)
+		}
+	}
+}
+
+func TestSmallTextureSpecsAccepted(t *testing.T) {
+	_, sc, err := Read(bytes.NewReader(recipeTrace(t, 1, 2, 64)), texture.LayoutLinear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 2, 64} {
+		if got := sc.Textures[i].Levels[0].W; got != want || sc.Textures[i].ID != i {
+			t.Errorf("texture %d: id %d size %d, want id %d size %d", i, sc.Textures[i].ID, got, i, want)
+		}
+	}
+}
