@@ -60,9 +60,10 @@ func main() {
 	}
 	core.SetSweepParallelism(*parallel)
 	core.SetDefaultShards(*shards)
+	var st *store.Store
 	if *storeDir != "" {
-		st, err := store.Open(store.Config{Dir: *storeDir})
-		if err != nil {
+		var err error
+		if st, err = store.Open(store.Config{Dir: *storeDir}); err != nil {
 			fatal(err)
 		}
 		core.SetResultStore(st)
@@ -88,7 +89,7 @@ func main() {
 			writeBase: *writeBase, checkDir: *checkDir, relTol: *relTol,
 		})
 		reportFarm(time.Since(wallStart))
-		reportStore()
+		reportStore(st)
 		if failed {
 			// os.Exit skips the deferred profiler stop; flush it first.
 			if err := prof.Stop(); err != nil {
@@ -173,7 +174,7 @@ func main() {
 		}
 	}
 	reportFarm(time.Since(wallStart))
-	reportStore()
+	reportStore(st)
 	if failed {
 		if err := prof.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)
@@ -194,8 +195,8 @@ func reportFarm(wall time.Duration) {
 	}
 	c := f.Counters()
 	fmt.Fprintf(os.Stderr,
-		"farm: %d workers, %d jobs (%d deduped), %v simulated over %v wall — %.2fx vs serial\n",
-		f.Workers(), c.Submitted, c.Deduped,
+		"farm: %d workers, %d jobs (%d deduped, %d cache hits), %v simulated over %v wall — %.2fx vs serial\n",
+		f.Workers(), c.Submitted, c.Deduped, c.CacheHits,
 		busy.Round(time.Millisecond), wall.Round(time.Millisecond),
 		busy.Seconds()/wall.Seconds())
 }
@@ -203,8 +204,7 @@ func reportFarm(wall time.Duration) {
 // reportStore summarizes durable-store traffic when -store was given: hits
 // are simulations skipped entirely, misses were computed and written
 // through. Stderr, like the farm line.
-func reportStore() {
-	st := core.ResultStore()
+func reportStore(st *store.Store) {
 	if st == nil {
 		return
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
 	"repro/internal/obs/telem"
@@ -27,7 +26,6 @@ func BenchmarkDistFarmThroughput(b *testing.B) {
 	const jobs = 8
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		core.ClearRunCache()
 		f := farm.New(farm.Config{Workers: 16, QueueDepth: 64})
 		api := newServer(f, nil)
 		coord := dist.NewCoordinator(dist.Config{TTL: time.Minute, Metrics: telem.NewRegistry()})
@@ -39,7 +37,7 @@ func BenchmarkDistFarmThroughput(b *testing.B) {
 				Client: &dist.Client{Base: ts.URL, Worker: fmt.Sprintf("bench-%d", w)},
 				Slots:  2,
 				Poll:   5 * time.Millisecond,
-				Exec:   execGrant,
+				Exec:   execGrant(nil),
 			}
 			go wk.Run(wctx)
 		}

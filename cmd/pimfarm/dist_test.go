@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/farm/dist"
 	"repro/internal/obs/telem"
@@ -54,7 +53,7 @@ func startTestWorker(t *testing.T, base, id string) {
 	w := &dist.Worker{
 		Client: &dist.Client{Base: base, Worker: id},
 		Poll:   10 * time.Millisecond,
-		Exec:   execGrant,
+		Exec:   execGrant(nil),
 	}
 	done := make(chan struct{})
 	go func() {
@@ -112,11 +111,6 @@ func TestDistEndToEndMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The in-process test worker shares the global run cache with the
-	// local server above; clear it so the dist job genuinely re-simulates
-	// on the worker instead of being a warm memory hit.
-	core.ClearRunCache()
 
 	ts, _ := newDistTestServer(t, dist.Config{TTL: time.Minute})
 	startTestWorker(t, ts.URL, "e2e-worker")

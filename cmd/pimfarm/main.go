@@ -119,10 +119,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// The farm tier alone carries persistence here: it serves completed
-		// jobs from disk before the task runs and writes each computed result
-		// through exactly once (attaching the store to core.RunCached as well
-		// would just duplicate every write).
+		// The farm tier carries persistence: it serves completed jobs from
+		// disk before the task runs and writes each computed result
+		// through exactly once.
 		log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
 	}
 	farmWorkers := *workers

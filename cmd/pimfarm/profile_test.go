@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -19,7 +18,6 @@ func TestJobProfileEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
 	}
-	core.ClearRunCache() // the profiled job must really simulate
 	ts, _ := newTestServer(t)
 
 	submit := func(body string) jobResponse {
@@ -69,7 +67,7 @@ func TestJobProfileEndpoint(t *testing.T) {
 			len(f.Timelines), len(f.Groups))
 	}
 
-	// A twin submission is served from the run cache, so no artifact is
+	// A twin submission is served from the farm cache, so no artifact is
 	// captured under its job ID; the 404 explains the caveat.
 	twin := submit(`{"game":"doom3","width":320,"height":240,"design":"bpim","profile":true}`)
 	if twin.ID == profiled.ID {

@@ -433,7 +433,8 @@ func (s *server) buildTask(req *suite.Spec, origin string) (farm.Task, error) {
 	return t, nil
 }
 
-// localRun executes the job in-process through the tiered cache path.
+// localRun simulates the job in-process. The farm in front of it has
+// already done the cache, dedup and store lookups, so it always computes.
 func (s *server) localRun(req *suite.Spec, rv suite.Resolved) func(context.Context) (any, error) {
 	return func(runCtx context.Context) (any, error) {
 		// The job's own context: canceled by DELETE /v1/jobs/{id},
@@ -463,14 +464,14 @@ func (s *server) localRun(req *suite.Spec, rv suite.Resolved) func(context.Conte
 		}
 		if req.Profile {
 			// Frame-anatomy capture (GET /v1/jobs/{id}/profile).
-			// Runtime-only, so it is filled only when this job really
-			// simulates: a memory/store hit or a singleflight twin
-			// leaves it empty and the endpoint answers 404.
+			// Runtime-only, so only a job that really simulates has
+			// one: a farm cache/store hit or a dedup follower never
+			// runs this closure and the endpoint answers 404.
 			fp = &obs.FrameProfile{}
 			ropts.Profile = fp
 		}
 		runStart := time.Now()
-		res, err := core.RunCachedContext(runCtx, rv.Workload, ropts)
+		res, err := core.RunContext(runCtx, rv.Workload, ropts)
 		if rec != nil {
 			end := time.Now()
 			recordRunSpans(rec, stages, runStart, end, err)
@@ -760,9 +761,8 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	resp := struct {
 		farm.Counters
-		Store    *store.Counters      `json:"store,omitempty"`
-		RunCache map[string]uint64    `json:"run_cache"`
-		BW       map[string][]float64 `json:"bw_utilization,omitempty"`
+		Store *store.Counters      `json:"store,omitempty"`
+		BW    map[string][]float64 `json:"bw_utilization,omitempty"`
 		// Dist is the coordinator view (queue, lease ops, per-worker
 		// liveness); the key cannot be "workers" because farm.Counters
 		// already publishes its pool size there.
@@ -772,7 +772,6 @@ func (s *server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		Admit *admit.Stats `json:"admit,omitempty"`
 	}{
 		Counters: s.farm.Counters(),
-		RunCache: core.RunCacheCounters(),
 		BW:       s.latestBWHistograms(),
 	}
 	if s.store != nil {

@@ -348,8 +348,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 		t.Fatalf("cold run: tier_hits=%d tier_puts=%d, want 0/1", c1.TierHits, c1.TierPuts)
 	}
 
-	// Simulate a restart: new farm, new memory caches, same store dir.
-	core.ClearRunCache()
+	// Simulate a restart: new farm, same store dir.
 	warm, c2 := runOnce()
 	if c2.TierHits != 1 {
 		t.Fatalf("warm run: tier_hits=%d, want 1 (job was re-simulated)", c2.TierHits)

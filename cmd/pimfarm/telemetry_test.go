@@ -67,7 +67,6 @@ func TestJobEventsStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
 	}
-	core.ClearRunCache() // the job must really simulate to emit progress
 	ts, _ := newTestServer(t)
 
 	jr, code := postJob(t, ts, `{"game":"doom3","width":320,"height":240,"design":"atfim","shards":2}`)
@@ -278,7 +277,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE pimfarm_jobs_running gauge",
 		"# TYPE pimfarm_job_run_seconds histogram",
 		"pimfarm_job_run_seconds_bucket",
-		`pim_runcache_requests_total{outcome="`,
 		"# TYPE pim_sim_frames_completed_total counter",
 		"# TYPE pim_sim_frames_inflight gauge",
 	}
@@ -304,9 +302,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestVarzTelemetryBlocks checks the /varz additions: run-cache tier
-// counters always present, bandwidth-meter utilization histograms once a
-// job has finished.
+// TestVarzTelemetryBlocks checks the /varz additions: the farm's cache
+// counters (the process's one result cache) always present, bandwidth-
+// meter utilization histograms once a job has finished.
 func TestVarzTelemetryBlocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
@@ -329,18 +327,19 @@ func TestVarzTelemetryBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var varz struct {
-		RunCache map[string]uint64    `json:"run_cache"`
-		BW       map[string][]float64 `json:"bw_utilization"`
+		CacheHits *uint64              `json:"cache_hits"`
+		TierHits  *uint64              `json:"tier_hits"`
+		TierPuts  *uint64              `json:"tier_puts"`
+		BW        map[string][]float64 `json:"bw_utilization"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&varz)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tier := range []string{"memory", "disk", "compute"} {
-		if _, ok := varz.RunCache[tier]; !ok {
-			t.Errorf("run_cache missing tier %q", tier)
-		}
+	if varz.CacheHits == nil || varz.TierHits == nil || varz.TierPuts == nil {
+		t.Errorf("varz cache counters missing: cache_hits=%v tier_hits=%v tier_puts=%v",
+			varz.CacheHits, varz.TierHits, varz.TierPuts)
 	}
 	if len(varz.BW) == 0 {
 		t.Fatal("no bandwidth histograms after a completed job")

@@ -93,10 +93,11 @@ func (s *server) recordDistTrace(j *farm.Job, tc dtrace.Context, o *dist.Outcome
 }
 
 // recordRunSpans emits the execution-side spans bracketing one
-// core.RunCachedContext call: the "run" span, the "tiers" span (cache
-// lookup — everything before the first progress callback; the whole run
-// on a warm hit), and the per-frame simulate-stage spans. Shared by the
-// local execution path and the dist worker's ExecFunc.
+// execution: the "run" span, the "tiers" span (everything before the
+// first progress callback — the worker's store lookup and scene set-up;
+// the whole run, marked hit=true, on a store hit), and the per-frame
+// simulate-stage spans. Shared by the local execution path and the dist
+// worker's ExecFunc.
 func recordRunSpans(rec *dtrace.Recorder, stages *dtrace.StageTracker, start, end time.Time, err error) {
 	var attrs map[string]string
 	if err != nil {

@@ -1,10 +1,10 @@
 package main
 
 // pimfarm worker: the pull side of the distributed farm. A worker process
-// polls the coordinator for leases, simulates each granted job through the
-// same tiered cache path the single-node server uses (memory → shared
-// store → compute), and streams progress and the encoded result back over
-// HTTP. Heartbeats renew the lease while the simulation runs; if the
+// polls the coordinator for leases, serves each granted job from the
+// shared store when one is attached (-store) or simulates it and writes it
+// through, and streams progress and the encoded result back over HTTP.
+// Heartbeats renew the lease while the simulation runs; if the
 // coordinator declares the lease gone (job canceled, or this worker was
 // presumed dead), execution is aborted promptly.
 
@@ -64,16 +64,14 @@ func workerMain(args []string) {
 		*id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
+	var st *store.Store
 	if *storeDir != "" {
-		st, err := store.Open(store.Config{Dir: *storeDir})
-		if err != nil {
-			fatal(err)
-		}
-		// Workers attach the store to the run-cache tier chain directly:
-		// a job another node already computed is a disk hit here, and every
+		// A job another node already computed is a disk hit here, and every
 		// result this worker computes lands in the shared directory for the
 		// coordinator and its siblings to serve warm.
-		core.SetResultStore(st)
+		if st, err = store.Open(store.Config{Dir: *storeDir}); err != nil {
+			fatal(err)
+		}
 		log.Info("store open", "dir", st.Dir(), "entries", st.Len(), "bytes", st.Size())
 	}
 
@@ -85,7 +83,7 @@ func workerMain(args []string) {
 		Slots:  *jobs,
 		Poll:   *poll,
 		Log:    log,
-		Exec:   execGrant,
+		Exec:   execGrant(st),
 	}
 	log.Info("worker starting", "id", *id, "coordinator", *coordURL,
 		"jobs", *jobs, "version", obs.Version())
@@ -95,58 +93,73 @@ func workerMain(args []string) {
 	log.Info("worker stopped", "id", *id)
 }
 
-// execGrant simulates one leased job: the grant spec is the canonical
-// pim-render/spec/v1 document (suite.Spec) the coordinator accepted, the
-// result payload the pim-render/result/v1 document the coordinator
-// decodes. Decoding is lenient (unknown fields ignored) so a slightly
-// newer coordinator can still feed an older worker; the spec then
+// execGrant returns the ExecFunc for one leased job: the grant spec is
+// the canonical pim-render/spec/v1 document (suite.Spec) the coordinator
+// accepted, the result payload the pim-render/result/v1 document the
+// coordinator decodes. Decoding is lenient (unknown fields ignored) so a
+// slightly newer coordinator can still feed an older worker; the spec then
 // re-resolves through the same Spec → Options/CacheKey mapping the
 // coordinator used, and the worker refuses a grant whose spec keys
-// differently (simulator version skew). Simulation progress flows through
-// the progress callback, which the coordinator republishes onto the job's
-// SSE stream.
+// differently (simulator version skew). With a store (st non-nil) a stored
+// result is returned without simulating and a computed one is written
+// through. The simulation runs under the lease's ctx, so a lost lease
+// stops it. Simulation progress flows through the progress callback,
+// which the coordinator republishes onto the job's SSE stream.
 //
 // When the grant carried a sampled trace context, dist.Worker put a span
 // recorder on ctx: the resolve/tiers/run/simulate-stage spans recorded
 // here ship back to the coordinator inside the completion request and
 // become the worker half of GET /v1/jobs/{id}/trace. Recording is
 // observational-only — it never touches the cache key or the result.
-func execGrant(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, error) {
-	rec := dtrace.RecorderFrom(ctx)
-	resolveStart := time.Now()
-	var req suite.Spec
-	if err := json.Unmarshal(g.Spec, &req); err != nil {
-		return nil, fmt.Errorf("decode spec: %w", err)
+func execGrant(st *store.Store) dist.ExecFunc {
+	tier := core.StoreTier(st)
+	return func(ctx context.Context, g *dist.Grant, progress func(any)) ([]byte, error) {
+		rec := dtrace.RecorderFrom(ctx)
+		resolveStart := time.Now()
+		var req suite.Spec
+		if err := json.Unmarshal(g.Spec, &req); err != nil {
+			return nil, fmt.Errorf("decode spec: %w", err)
+		}
+		rv, err := req.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		rec.Span("worker", "resolve", resolveStart, time.Now(), nil)
+		if rv.Key != g.Key {
+			return nil, fmt.Errorf("spec keys to %q but lease granted %q (simulator version skew?)", rv.Key, g.Key)
+		}
+		opts := rv.Options
+		var stages *dtrace.StageTracker
+		if rec != nil {
+			stages = &dtrace.StageTracker{}
+		}
+		opts.Progress = func(p core.Progress) {
+			stages.Observe(p.Frame, string(p.Stage), time.Now())
+			progress(p)
+		}
+		start := time.Now()
+		var res *core.Result
+		if tier != nil {
+			if v, ok := tier.Get(g.Key); ok {
+				res = v.(*core.Result)
+			}
+		}
+		if res == nil {
+			if res, err = core.RunContext(ctx, rv.Workload, opts); err == nil && tier != nil {
+				tier.Put(g.Key, res)
+			}
+		}
+		if rec != nil {
+			recordRunSpans(rec, stages, start, time.Now(), err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		slogx.From(ctx).Debug("job executed", "job", g.Job, "key", g.Key, "restored", res.Restored(),
+			"dur", time.Since(start).Round(time.Millisecond).String())
+		encStart := time.Now()
+		payload, err := core.EncodeResultPayload(res)
+		rec.Span("worker", "encode", encStart, time.Now(), nil)
+		return payload, err
 	}
-	rv, err := req.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	rec.Span("worker", "resolve", resolveStart, time.Now(), nil)
-	if rv.Key != g.Key {
-		return nil, fmt.Errorf("spec keys to %q but lease granted %q (simulator version skew?)", rv.Key, g.Key)
-	}
-	opts := rv.Options
-	var stages *dtrace.StageTracker
-	if rec != nil {
-		stages = &dtrace.StageTracker{}
-	}
-	opts.Progress = func(p core.Progress) {
-		stages.Observe(p.Frame, string(p.Stage), time.Now())
-		progress(p)
-	}
-	start := time.Now()
-	res, err := core.RunCachedContext(ctx, rv.Workload, opts)
-	if rec != nil {
-		recordRunSpans(rec, stages, start, time.Now(), err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	slogx.From(ctx).Debug("job simulated", "job", g.Job, "key", g.Key,
-		"dur", time.Since(start).Round(time.Millisecond).String())
-	encStart := time.Now()
-	payload, err := core.EncodeResultPayload(res)
-	rec.Span("worker", "encode", encStart, time.Now(), nil)
-	return payload, err
 }

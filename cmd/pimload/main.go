@@ -134,7 +134,7 @@ func verifyResults(cfg loadConfig, samples []sample) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := core.RunCachedContext(context.Background(), rv.Workload, rv.Options)
+		res, err := core.RunContext(context.Background(), rv.Workload, rv.Options)
 		if err != nil {
 			return 0, err
 		}

@@ -89,26 +89,21 @@ type Result struct {
 	// Image is the last rendered frame.
 	Image []uint32
 
-	path    gpu.TexturePath
-	backend mem.Backend
-
-	// storedMetrics is the embedded pim-render/metrics/v1 snapshot of a
-	// Result restored from the durable store (which has no live path or
-	// backend to recompute one from); Metrics serves it verbatim.
-	storedMetrics *obs.Snapshot
+	// metrics is the run's pim-render/metrics/v1 snapshot, built once as
+	// the run finishes (or decoded from the durable store); pathDebug is
+	// the texture path's diagnostic string, captured at the same point.
+	// The live path and backend are not retained.
+	metrics   *obs.Snapshot
+	pathDebug string
+	restored  bool
 }
 
 // Restored reports whether the result was loaded from the durable store
 // rather than simulated in this process.
-func (r *Result) Restored() bool { return r.storedMetrics != nil }
+func (r *Result) Restored() bool { return r.restored }
 
 // PathDebug returns the texture path's diagnostic string, if it has one.
-func (r *Result) PathDebug() string {
-	if d, ok := r.path.(interface{ DebugString() string }); ok {
-		return d.DebugString()
-	}
-	return ""
-}
+func (r *Result) PathDebug() string { return r.pathDebug }
 
 // TextureTraffic returns the texture-class bytes moved between GPU and
 // memory (the Fig. 12 metric).
@@ -393,14 +388,17 @@ func runScene(ctx context.Context, sc *scene.Scene, wl workload.Workload, cfg co
 		}
 	}
 
-	return &Result{
+	res := &Result{
 		Workload: wl,
 		Design:   cfg.Design,
 		Options:  opts,
 		Frame:    acc,
 		Energy:   bd,
 		Image:    acc.Image,
-		path:     path,
-		backend:  backend,
-	}, nil
+	}
+	res.metrics = buildMetrics(res, backend)
+	if d, ok := path.(interface{ DebugString() string }); ok {
+		res.pathDebug = d.DebugString()
+	}
+	return res, nil
 }

@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/area"
 	"repro/internal/config"
-	"repro/internal/farm/flight"
-	"repro/internal/farm/lru"
 	"repro/internal/mem"
 	"repro/internal/quality"
 	"repro/internal/stats"
@@ -40,21 +37,6 @@ func MiniSet() []workload.Workload {
 	}
 }
 
-// DefaultRunCacheCap bounds the cross-experiment memoization cache. The
-// quick workload set needs ~60 distinct cells; the full Table II sweep
-// stays comfortably under this too.
-const DefaultRunCacheCap = 512
-
-// runCache memoizes simulation results across experiments (Figs 10-13
-// share one sweep; Figs 14-16 share the threshold sweep). It is LRU-
-// bounded, and runFlight collapses concurrent computations of the same
-// key into one simulation (the farm's singleflight primitive), so
-// duplicate in-flight work is impossible even under parallel sweeps.
-var (
-	runFlight flight.Group[*Result]
-	runCache  = lru.New[*Result](DefaultRunCacheCap)
-)
-
 // CacheKey returns the memoization key identifying a (workload, Options)
 // simulation — the identity the farm dedups and caches on (cmd/pimfarm
 // keys its jobs with it).
@@ -66,69 +48,6 @@ func cacheKey(wl workload.Workload, opts Options) string {
 		opts.LinearLayout, opts.DisableConsolidation, opts.Compressed,
 		opts.MTUs, opts.FrameIndex, opts.Frames, opts.HMCCubes)
 }
-
-// RunCached is Run with cross-experiment memoization and optional durable
-// persistence: memory LRU → durable store (when one is attached via
-// SetResultStore) → compute, with the singleflight group spanning all
-// three tiers so at most one lookup-or-simulation per key is ever in
-// flight. Computed results are written through to the store; corrupt or
-// stale store entries simply miss and are recomputed and rewritten.
-func RunCached(wl workload.Workload, opts Options) (*Result, error) {
-	return RunCachedContext(context.Background(), wl, opts)
-}
-
-// RunCachedContext is RunCached with cancellation. The caller's context is
-// checked before any tier is consulted and threaded into the simulation; a
-// follower whose singleflight leader was canceled retries with its own
-// live context instead of inheriting the foreign cancellation.
-func RunCachedContext(ctx context.Context, wl workload.Workload, opts Options) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	key := cacheKey(wl, opts)
-	if r, ok := runCache.Get(key); ok {
-		runCacheOutcome("memory")
-		return r, nil
-	}
-	for {
-		r, err, shared := runFlight.Do(key, func() (*Result, error) {
-			// Re-check under the flight: a call that completed between our
-			// cache miss and winning the flight may have filled the entry.
-			if r, ok := runCache.Get(key); ok {
-				runCacheOutcome("memory")
-				return r, nil
-			}
-			st := ResultStore()
-			if st != nil {
-				if r, ok := loadStoredResult(st, key); ok {
-					runCache.Add(key, r)
-					runCacheOutcome("disk")
-					return r, nil
-				}
-			}
-			r, err := RunContext(ctx, wl, opts)
-			if err != nil {
-				return nil, err
-			}
-			runCacheOutcome("compute")
-			runCache.Add(key, r)
-			if st != nil {
-				saveStoredResult(st, key, r)
-			}
-			return r, nil
-		})
-		if err != nil && shared && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The leader we shared was canceled but we were not: retry.
-			continue
-		}
-		return r, err
-	}
-}
-
-// ClearRunCache empties the memoization cache (tests use it to bound
-// memory).
-func ClearRunCache() { runCache.Clear() }
 
 // Experiment bundles a rendered table with headline summary numbers
 // (keyed aggregates the tests and EXPERIMENTS.md assert on).
@@ -144,11 +63,11 @@ type Experiment struct {
 func Fig2MemoryBreakdown(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
 	tab := stats.NewTable("Fig 2: memory bandwidth usage breakdown (Baseline)",
 		"workload", "texture%", "frame%", "geometry%", "z-test%", "color%")
-	var specs []runSpec
+	var specs []Cell
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, Options{Design: config.Baseline}})
+		specs = append(specs, Cell{wl, Options{Design: config.Baseline}})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	var texShare []float64
@@ -180,13 +99,13 @@ func Fig2MemoryBreakdown(ctx context.Context, wls []workload.Workload) (*Experim
 func Fig4AnisoOff(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
 	tab := stats.NewTable("Fig 4: anisotropic filtering disabled (Baseline)",
 		"workload", "filter speedup", "normalized traffic")
-	var specs []runSpec
+	var specs []Cell
 	for _, wl := range wls {
 		specs = append(specs,
-			runSpec{wl, Options{Design: config.Baseline}},
-			runSpec{wl, Options{Design: config.Baseline, DisableAniso: true}})
+			Cell{wl, Options{Design: config.Baseline}},
+			Cell{wl, Options{Design: config.Baseline, DisableAniso: true}})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	var sp, tr []float64
@@ -222,13 +141,13 @@ func Fig4AnisoOff(ctx context.Context, wls []workload.Workload) (*Experiment, er
 func Fig5BPIM(ctx context.Context, wls []workload.Workload) (*Experiment, error) {
 	tab := stats.NewTable("Fig 5: B-PIM speedup over Baseline",
 		"workload", "render speedup", "filter speedup")
-	var specs []runSpec
+	var specs []Cell
 	for _, wl := range wls {
 		specs = append(specs,
-			runSpec{wl, Options{Design: config.Baseline}},
-			runSpec{wl, Options{Design: config.BPIM}})
+			Cell{wl, Options{Design: config.Baseline}},
+			Cell{wl, Options{Design: config.BPIM}})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	var rsp, fsp []float64
@@ -280,17 +199,17 @@ func Fig7TexelFetches() *Experiment {
 }
 
 // designSweep runs every design on every workload (memoized) and returns
-// results indexed [workload][design]. The cells execute in parallel on the
+// results indexed [workload][design]. The specs execute in parallel on the
 // sweep farm; the aggregation below stays in workload order, so output is
 // byte-identical to a serial sweep.
 func designSweep(ctx context.Context, wls []workload.Workload) (map[string]map[config.Design]*Result, error) {
-	var specs []runSpec
+	var specs []Cell
 	for _, wl := range wls {
 		for _, d := range config.AllDesigns() {
-			specs = append(specs, runSpec{wl, Options{Design: d}})
+			specs = append(specs, Cell{wl, Options{Design: d}})
 		}
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	out := make(map[string]map[config.Design]*Result, len(wls))
@@ -383,11 +302,11 @@ func Fig12MemoryTraffic(ctx context.Context, wls []workload.Workload) (*Experime
 	}
 	tab := stats.NewTable("Fig 12: texture memory traffic (normalized to Baseline)",
 		"workload", "Baseline", "B-PIM", "S-TFIM", "A-TFIM-001pi", "A-TFIM-005pi")
-	var specs []runSpec
+	var specs []Cell
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, Options{Design: config.ATFIM, AngleThreshold: config.Angle005Pi}})
+		specs = append(specs, Cell{wl, Options{Design: config.ATFIM, AngleThreshold: config.Angle005Pi}})
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	agg := map[string][]float64{}
@@ -458,14 +377,14 @@ func Fig13Energy(ctx context.Context, wls []workload.Workload) (*Experiment, err
 // on the sweep farm. The Baseline cell per workload is prefetched too:
 // Figs 14 and 15 normalize against it right after this sweep.
 func thresholdSweep(ctx context.Context, wls []workload.Workload) (map[string]map[string]*Result, error) {
-	var specs []runSpec
+	var specs []Cell
 	for _, wl := range wls {
-		specs = append(specs, runSpec{wl, Options{Design: config.Baseline}})
+		specs = append(specs, Cell{wl, Options{Design: config.Baseline}})
 		for _, th := range config.AngleThresholds() {
-			specs = append(specs, runSpec{wl, Options{Design: config.ATFIM, AngleThreshold: th.Value}})
+			specs = append(specs, Cell{wl, Options{Design: config.ATFIM, AngleThreshold: th.Value}})
 		}
 	}
-	if err := prefetch(ctx, specs); err != nil {
+	if err := Prefetch(ctx, specs); err != nil {
 		return nil, err
 	}
 	out := map[string]map[string]*Result{}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -204,5 +206,34 @@ func TestRunCachedMemoizes(t *testing.T) {
 	}
 	if c.Cycles() != a.Cycles() {
 		t.Fatal("re-run not deterministic")
+	}
+}
+
+// TestRunCachedContextCancelKeepsSimulation: a caller whose context ends
+// mid-wait gets ctx.Err() at once, while the simulation finishes on the
+// sweep farm and is cached for the next caller.
+func TestRunCachedContextCancelKeepsSimulation(t *testing.T) {
+	ClearRunCache()
+	wl := workload.MustGet("hl2", 160, 120)
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	opts := Options{Design: config.ATFIM, Progress: func(Progress) { once.Do(cancel) }}
+	if _, err := RunCachedContext(ctx, wl, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled caller err = %v, want context.Canceled", err)
+	}
+	r, err := RunCached(wl, Options{Design: config.ATFIM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(wl, Options{Design: config.ATFIM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cycles() != want.Cycles() {
+		t.Fatalf("cached cycles %d, want %d", r.Cycles(), want.Cycles())
+	}
+	c := SweepFarm().Counters()
+	if c.Submitted != 2 || c.Deduped+c.CacheHits != 1 || c.Failed+c.Canceled != 0 {
+		t.Fatalf("sweep farm counters %+v: want the second call served by the first simulation", c)
 	}
 }

@@ -7,18 +7,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics flattens a Result into the stable observability snapshot exported
-// by `pimsim -json`. Counters cover traffic (per class and direction),
-// pipeline activity and per-cache statistics; gauges cover energy, rates and
-// latencies; histograms carry the memory backend's bandwidth-utilization
-// profile when the backend exposes one.
-func (r *Result) Metrics() *obs.Snapshot {
-	// A result restored from the durable store carries the snapshot its
-	// original run produced (including backend histograms no restored
-	// result could recompute); serve it verbatim.
-	if r.storedMetrics != nil {
-		return r.storedMetrics
-	}
+// Metrics returns the run's pim-render/metrics/v1 snapshot, the document
+// `pimsim -json` prints. It is built once, when the run finishes (a result
+// restored from the durable store carries the snapshot its original run
+// produced), and every call returns the same value. Results are memoized
+// and shared across goroutines, so the snapshot is read-only: copy it
+// before changing anything.
+func (r *Result) Metrics() *obs.Snapshot { return r.metrics }
+
+// buildMetrics flattens a finished run into its observability snapshot.
+// Counters cover traffic (per class and direction), pipeline activity and
+// per-cache statistics; gauges cover energy, rates and latencies;
+// histograms carry the memory backend's bandwidth-utilization profile
+// when the backend exposes one.
+func buildMetrics(r *Result, backend mem.Backend) *obs.Snapshot {
 	s := obs.NewSnapshot("run")
 	s.Workload = r.Workload.Name()
 	s.Design = r.Design.String()
@@ -92,7 +94,7 @@ func (r *Result) Metrics() *obs.Snapshot {
 	s.Gauge("texpath.busy_cycles", p.BusyCycles)
 
 	// Bandwidth-utilization histograms from the backend, when available.
-	if hs, ok := r.backend.(obs.HistogramSource); ok {
+	if hs, ok := backend.(obs.HistogramSource); ok {
 		for name, bins := range hs.UtilizationHistograms(metricsHistogramBins) {
 			s.Histogram("bw."+name, bins)
 		}

@@ -1,11 +1,10 @@
 package core
 
-// Durable result-store wiring: a process-wide *store.Store acts as the
-// second cache tier behind the in-memory run cache (memory → disk →
-// compute, with RunCached's singleflight spanning all three), and
-// StoreTier adapts the same store into farm.Tier so cmd/pimfarm serves
-// completed jobs from disk across restarts. The payload codec serializes a
-// Result — frame measurements, energy breakdown, rendered image and the
+// Durable result-store wiring: StoreTier adapts a *store.Store into the
+// farm's second cache tier (memory → disk → compute), which is how the
+// sweep farm behind RunCached (see SetResultStore) and cmd/pimfarm serve
+// completed cells from disk across restarts. The payload codec serializes
+// a Result — frame measurements, energy breakdown, rendered image and the
 // pim-render/metrics/v1 snapshot — as gzipped JSON; a restored Result
 // reproduces every aggregate the experiments read (cycles, traffic,
 // filter time, energy, PSNR inputs) bit-for-bit, so a warm-store sweep is
@@ -17,7 +16,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/energy"
 	"repro/internal/farm"
@@ -40,27 +38,6 @@ const SimVersion = "2"
 // this package.
 const StoredResultSchema = "pim-render/result/v1"
 
-var (
-	resultStoreMu  sync.RWMutex
-	resultStoreVar *store.Store
-)
-
-// SetResultStore attaches (or with nil detaches) the durable result store
-// consulted by RunCached after a memory-cache miss and written through
-// after every computed cell.
-func SetResultStore(st *store.Store) {
-	resultStoreMu.Lock()
-	defer resultStoreMu.Unlock()
-	resultStoreVar = st
-}
-
-// ResultStore returns the attached durable result store, if any.
-func ResultStore() *store.Store {
-	resultStoreMu.RLock()
-	defer resultStoreMu.RUnlock()
-	return resultStoreVar
-}
-
 // StoreTier adapts st into the farm's second cache tier, decoding stored
 // payloads back into *Result values. A nil store yields a nil Tier.
 func StoreTier(st *store.Store) farm.Tier {
@@ -72,17 +49,30 @@ func StoreTier(st *store.Store) farm.Tier {
 
 type storeTier struct{ st *store.Store }
 
+// Get fetches and decodes key; any defect (store-level corruption, schema
+// or sim-version mismatch, undecodable payload) is a miss — the caller
+// recomputes and the rewrite replaces the entry.
 func (t storeTier) Get(key string) (any, bool) {
-	r, ok := loadStoredResult(t.st, key)
+	payload, _, ok := t.st.Get(key)
 	if !ok {
+		return nil, false
+	}
+	r, err := decodeStoredResult(key, payload)
+	if err != nil {
 		return nil, false
 	}
 	return r, true
 }
 
+// Put writes a *Result through to the store; persistence is best-effort
+// and never fails the run (store counters record put errors).
 func (t storeTier) Put(key string, v any) {
-	if r, ok := v.(*Result); ok {
-		saveStoredResult(t.st, key, r)
+	r, ok := v.(*Result)
+	if !ok {
+		return
+	}
+	if man, payload, err := encodeStoredResult(r); err == nil {
+		_ = t.st.Put(key, man, payload)
 	}
 }
 
@@ -144,8 +134,7 @@ func encodeStoredResult(r *Result) (store.Manifest, []byte, error) {
 
 // decodeStoredResult rebuilds a Result from a store payload, verifying the
 // payload schema, simulator version and that the entry really describes
-// key. Restored results have no live texture path or memory backend; their
-// Metrics() serves the embedded snapshot.
+// key. A restored Result's Metrics() is the embedded snapshot.
 func decodeStoredResult(key string, payload []byte) (*Result, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
@@ -168,6 +157,9 @@ func decodeStoredResult(key string, payload []byte) (*Result, error) {
 	if sr.Frame == nil {
 		return nil, fmt.Errorf("core: stored result has no frame")
 	}
+	if sr.Metrics == nil {
+		return nil, fmt.Errorf("core: stored result has no metrics snapshot")
+	}
 	wl, err := workload.Get(sr.Game, sr.Width, sr.Height)
 	if err != nil {
 		return nil, fmt.Errorf("core: stored result: %w", err)
@@ -179,39 +171,15 @@ func decodeStoredResult(key string, payload []byte) (*Result, error) {
 	frame := sr.Frame
 	frame.Image = img
 	return &Result{
-		Workload:      wl,
-		Design:        sr.Options.Design,
-		Options:       sr.Options,
-		Frame:         frame,
-		Energy:        sr.Energy,
-		Image:         img,
-		storedMetrics: sr.Metrics,
+		Workload: wl,
+		Design:   sr.Options.Design,
+		Options:  sr.Options,
+		Frame:    frame,
+		Energy:   sr.Energy,
+		Image:    img,
+		metrics:  sr.Metrics,
+		restored: true,
 	}, nil
-}
-
-// loadStoredResult fetches and decodes key from st; any defect (store-level
-// corruption, schema or sim-version mismatch, undecodable payload) is a
-// miss — the caller recomputes and the rewrite replaces the entry.
-func loadStoredResult(st *store.Store, key string) (*Result, bool) {
-	payload, _, ok := st.Get(key)
-	if !ok {
-		return nil, false
-	}
-	r, err := decodeStoredResult(key, payload)
-	if err != nil {
-		return nil, false
-	}
-	return r, true
-}
-
-// saveStoredResult writes r through to the durable store; persistence is
-// best-effort and never fails the run (store counters record put errors).
-func saveStoredResult(st *store.Store, key string, r *Result) {
-	man, payload, err := encodeStoredResult(r)
-	if err != nil {
-		return
-	}
-	_ = st.Put(key, man, payload)
 }
 
 // EncodeResultPayload serializes r as a self-contained

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -10,21 +11,16 @@ import (
 	"repro/internal/workload"
 )
 
-// withStore attaches a fresh durable store for one test and detaches it on
-// cleanup, leaving the process-wide state as it found it.
+// withStore attaches a fresh durable store (and an empty sweep-farm cache)
+// for one test and detaches it on cleanup.
 func withStore(t *testing.T) *store.Store {
 	t.Helper()
 	st, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := ResultStore()
 	SetResultStore(st)
-	ClearRunCache()
-	t.Cleanup(func() {
-		SetResultStore(prev)
-		ClearRunCache()
-	})
+	t.Cleanup(func() { SetResultStore(nil) })
 	return st
 }
 
@@ -186,5 +182,37 @@ func TestStoreTierAdapts(t *testing.T) {
 	}
 	if _, ok := tier.Get("other-key"); ok {
 		t.Fatal("non-Result Put produced an entry")
+	}
+}
+
+// TestMetricsBuiltOnce: Metrics serves the snapshot built when the run
+// finished — repeated calls allocate nothing and return the same value —
+// and a store round trip restores a deeply equal document.
+func TestMetricsBuiltOnce(t *testing.T) {
+	wl := workload.MustGet("hl2", 64, 48)
+	opts := Options{Design: config.ATFIM}
+	r, err := Run(wl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = r.Metrics() }); allocs != 0 {
+		t.Fatalf("Metrics() allocates %.0f times per call, want 0", allocs)
+	}
+	if r.Metrics() != r.Metrics() {
+		t.Fatal("Metrics() returned different snapshots for one result")
+	}
+	if len(r.Metrics().Histograms) == 0 {
+		t.Fatal("live snapshot has no bandwidth histograms")
+	}
+	_, payload, err := encodeStoredResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeStoredResult(cacheKey(wl, opts), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.Metrics(), back.Metrics()) {
+		t.Fatal("store round trip changed the metrics snapshot")
 	}
 }

@@ -83,26 +83,3 @@ func simTelemetry(design config.Design) (onProgress func(gpu.Progress), onFrameE
 	}
 	return onProgress, onFrameEnd
 }
-
-// runCacheTiers are the outcomes runCacheOutcome can record.
-var runCacheTiers = []string{"memory", "disk", "compute"}
-
-func runCacheCounter(outcome string) *telem.Counter {
-	return telem.Default().Counter("pim_runcache_requests_total",
-		"core.RunCached lookups by satisfying tier (memory LRU, durable disk store, or fresh compute).",
-		telem.Labels{"outcome": outcome})
-}
-
-// runCacheOutcome counts one RunCached lookup by where it was satisfied:
-// "memory" (in-process LRU), "disk" (durable store), or "compute".
-func runCacheOutcome(outcome string) { runCacheCounter(outcome).Inc() }
-
-// RunCacheCounters snapshots the RunCached tier counters (memory / disk /
-// compute lookups so far in this process), for cmd/pimfarm's /varz.
-func RunCacheCounters() map[string]uint64 {
-	out := make(map[string]uint64, len(runCacheTiers))
-	for _, tier := range runCacheTiers {
-		out[tier] = runCacheCounter(tier).Value()
-	}
-	return out
-}

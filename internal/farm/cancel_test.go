@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -156,5 +157,123 @@ func TestCancelCompletedJobKeepsResult(t *testing.T) {
 	}
 	if v, err := j.Result(); err != nil || v != 42 {
 		t.Fatalf("result = %v, %v after cancel attempt", v, err)
+	}
+}
+
+// TestCancelLeaderPromotesFollower: canceling a dedup leader cancels that
+// job alone. A follower that attached to it (nobody canceled the
+// follower) is promoted, runs the task itself and ends Done — whether the
+// leader was canceled mid-run or while still queued.
+func TestCancelLeaderPromotesFollower(t *testing.T) {
+	for _, running := range []bool{true, false} {
+		name := "queued"
+		if running {
+			name = "running"
+		}
+		t.Run(name, func(t *testing.T) {
+			f := New(Config{Workers: 1})
+			defer f.Close(context.Background())
+
+			// A keyless blocker holds the only worker when the leader
+			// must stay queued.
+			release := make(chan struct{})
+			if !running {
+				if _, err := f.Submit(context.Background(), Task{
+					Run: func(context.Context) (any, error) { <-release; return nil, nil },
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			started := make(chan struct{}, 2)
+			var calls atomic.Int32
+			task := Task{
+				Key: "cell",
+				Run: func(ctx context.Context) (any, error) {
+					if calls.Add(1) == 1 && running {
+						started <- struct{}{}
+						<-ctx.Done()
+						return nil, ctx.Err()
+					}
+					return "result", nil
+				},
+			}
+			leader, err := f.Submit(context.Background(), task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if running {
+				<-started
+			}
+			follower, err := f.Submit(context.Background(), task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !follower.View().Deduped {
+				t.Fatal("second submission did not attach to the leader")
+			}
+			if !f.Cancel(leader.ID()) {
+				t.Fatal("Cancel(leader) = false")
+			}
+			if _, err := leader.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("leader err = %v, want context.Canceled", err)
+			}
+			close(release)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			v, err := follower.Wait(ctx)
+			if err != nil || v != "result" {
+				t.Fatalf("follower = %v, %v (state %v); want result, nil", v, err, follower.State())
+			}
+			if s := follower.State(); s != Done {
+				t.Fatalf("follower state = %v, want Done", s)
+			}
+			// The promoted follower's result is cached like any leader's.
+			j, err := f.Submit(context.Background(), task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := j.Wait(ctx); v != "result" || !j.View().CacheHit {
+				t.Fatalf("resubmission = %v (cache_hit %v), want a cache hit", v, j.View().CacheHit)
+			}
+		})
+	}
+}
+
+// TestForcedShutdownEndsFollowers: a forced shutdown still ends a queued
+// leader and its followers together; nothing is promoted or left pending.
+func TestForcedShutdownEndsFollowers(t *testing.T) {
+	f := New(Config{Workers: 1})
+	release := make(chan struct{})
+	defer close(release)
+	if _, err := f.Submit(context.Background(), Task{
+		Run: func(context.Context) (any, error) { <-release; return nil, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	task := Task{Key: "cell", Run: func(context.Context) (any, error) { return "never", nil }}
+	leader, err := f.Submit(context.Background(), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := f.Submit(context.Background(), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- f.Close(ctx) }()
+	for _, j := range []*Job{leader, follower} {
+		wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := j.Wait(wctx)
+		wcancel()
+		if !errors.Is(err, ErrShutdown) || j.State() != Canceled {
+			t.Fatalf("%s: state %v err %v, want Canceled with ErrShutdown", j.ID(), j.State(), err)
+		}
+	}
+	release <- struct{}{}
+	if err := <-closed; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Close = %v, want deadline exceeded", err)
 	}
 }

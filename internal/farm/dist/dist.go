@@ -13,8 +13,8 @@
 // an import cycle. The coordinator plugs in as the body of a farm Task's
 // Run closure: the farm keeps job lifecycle, SSE event streams, retry
 // budget, singleflight dedup, and the memory/store cache tiers; dist adds
-// only the process split and the wire protocol. Because workers execute
-// through core.RunCachedContext against a shared store directory, a
+// only the process split and the wire protocol. Because workers check a
+// shared store directory before simulating and write through after, a
 // result computed on any node is a warm hit everywhere.
 package dist
 

@@ -30,9 +30,9 @@ type ExecFunc func(ctx context.Context, g *Grant, progress func(any)) ([]byte, e
 // runs Slots concurrent lease loops; each loop leases, heartbeats at a
 // third of the TTL while executing, and reports completion. cmd/pimfarm
 // runs one Worker per `pimfarm worker` process, with an ExecFunc that
-// decodes the job spec and simulates through core.RunCachedContext — so
-// pointing workers at a shared -store directory makes every node's
-// results warm hits everywhere.
+// decodes the job spec, checks the worker's -store directory and
+// simulates on a miss — so pointing workers at a shared store makes every
+// node's results warm hits everywhere.
 type Worker struct {
 	// Client speaks to the coordinator; required.
 	Client *Client

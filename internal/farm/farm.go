@@ -356,6 +356,7 @@ func (f *Farm) Submit(ctx context.Context, t Task) (*Job, error) {
 		admitWait: t.AdmitWait,
 		trace:     t.Trace,
 		meta:      t.Meta,
+		run:       t.Run,
 		state:     Queued,
 		enqueued:  now,
 		done:      make(chan struct{}),
@@ -397,7 +398,6 @@ func (f *Farm) Submit(ctx context.Context, t Task) (*Job, error) {
 		}
 		f.inflight[t.Key] = &leader{job: j}
 	}
-	j.run = t.Run
 	f.mu.Unlock()
 	j.publishState()
 
@@ -438,8 +438,10 @@ func (f *Farm) Do(ctx context.Context, t Task) (any, error) {
 // Cancel requests cancellation of a job by id. A still-queued job
 // completes Canceled immediately (a worker that later dequeues it skips
 // it); a running job has its context canceled and completes Canceled when
-// its Run returns. Cancel reports whether the request took effect — false
-// for unknown ids and jobs already in a terminal state.
+// its Run returns. Canceling a dedup leader cancels that job alone: its
+// first follower becomes the leader and is queued in its place. Cancel
+// reports whether the request took effect — false for unknown ids and
+// jobs already in a terminal state.
 func (f *Farm) Cancel(id string) bool {
 	f.mu.Lock()
 	j, ok := f.jobs[id]
@@ -589,6 +591,12 @@ func (f *Farm) worker(id int) {
 func (f *Farm) execute(track string, j *Job) {
 	start := time.Now()
 	f.met.queued.Set(float64(len(f.queue)))
+	if f.root.Err() != nil {
+		// Forced shutdown: the worker's select may still pick a queued
+		// job over the closed root; it must not run.
+		f.finish(j, Canceled, nil, ErrShutdown)
+		return
+	}
 	j.mu.Lock()
 	if j.state.Terminal() { // canceled while queued
 		j.mu.Unlock()
@@ -688,7 +696,11 @@ func (f *Farm) runWithRetry(j *Job) (any, error) {
 }
 
 // finish completes a job and its singleflight followers, updating counters
-// and the inflight table exactly once per job.
+// and the inflight table exactly once per job. A leader canceled while the
+// farm is still up (Farm.Cancel, or its Submit gave up waiting for queue
+// space) does not take its followers with it: the first live follower is
+// promoted to leader and queued. On a forced shutdown every follower ends
+// with its leader.
 func (f *Farm) finish(j *Job, s State, v any, err error) {
 	now := time.Now()
 	var followers []*Job
@@ -697,6 +709,16 @@ func (f *Farm) finish(j *Job, s State, v any, err error) {
 		if ld, ok := f.inflight[j.key]; ok && ld.job == j {
 			followers = ld.followers
 			delete(f.inflight, j.key)
+			if s == Canceled && f.root.Err() == nil {
+				for i, fo := range followers {
+					if !fo.State().Terminal() {
+						f.inflight[j.key] = &leader{job: fo, followers: followers[i+1:]}
+						go f.requeue(fo)
+						break
+					}
+				}
+				followers = nil
+			}
 		}
 		f.mu.Unlock()
 	}
@@ -738,6 +760,17 @@ func (f *Farm) completeOne(j *Job, s State, v any, err error, now time.Time) {
 		f.met.canceled.Inc()
 	}
 	f.jobsWG.Done()
+}
+
+// requeue queues a promoted follower. It runs on its own goroutine: the
+// caller may be a worker, and a full queue must not park the pool.
+func (f *Farm) requeue(j *Job) {
+	select {
+	case f.queue <- j:
+		f.met.queued.Set(float64(len(f.queue)))
+	case <-f.root.Done():
+		f.finish(j, Canceled, nil, ErrShutdown)
+	}
 }
 
 // drainCanceled empties the queue, completing leftover jobs as Canceled.

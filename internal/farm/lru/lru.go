@@ -1,6 +1,5 @@
-// Package lru is a small mutex-guarded LRU cache used to bound the farm's
-// result cache and core's run memoization. Like flight, it is dependency-
-// free so any layer can use it.
+// Package lru is a small, dependency-free, mutex-guarded LRU cache that
+// bounds the farm's result cache.
 package lru
 
 import (

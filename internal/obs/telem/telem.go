@@ -6,7 +6,7 @@
 //
 // Instruments are registered get-or-create: asking for the same
 // (name, labels) pair twice returns the same instrument, so independent
-// layers (farm scheduler, durable store, core run cache, GPU pipeline)
+// layers (farm scheduler, durable store, simulation telemetry, GPU pipeline)
 // can publish into one shared registry without coordination. All methods
 // are safe for concurrent use, and every instrument method is nil-safe —
 // a nil *Counter/*Gauge/*Histogram is inert — so instrumented code never

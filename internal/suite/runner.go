@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/farm"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -24,8 +23,8 @@ type CaseResult struct {
 type CaseResults []CaseResult
 
 // Runner executes suites on the shared sweep farm. Cases fan out across
-// the farm's workers (deduped by cache key, memoized through the run
-// cache and durable store), then aggregate serially in declaration order,
+// the farm's workers (deduped by cache key, memoized by the farm's cache
+// and durable store tier), then aggregate serially in declaration order,
 // so a suite run is byte-identical to running each case's spec alone —
 // at any parallelism.
 type Runner struct {
@@ -51,36 +50,16 @@ func (r *Runner) Run(ctx context.Context, s *Suite) (CaseResults, error) {
 		resolved[i] = rv
 	}
 
-	// Fan out: warm the run cache through the sweep farm. Identical cases
-	// (within this suite or racing with a concurrent sweep) collapse via
-	// the farm's singleflight plus RunCached's.
-	if len(cases) > 1 {
-		f := core.SweepFarm()
-		jobs := make([]*farm.Job, 0, len(cases))
-		for i := range cases {
-			rv := resolved[i]
-			j, err := f.Submit(ctx, farm.Task{
-				Key:   rv.Key,
-				Label: s.Name + "/" + cases[i].ID,
-				Run: func(runCtx context.Context) (any, error) {
-					return core.RunCachedContext(runCtx, rv.Workload, rv.Options)
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, j)
-		}
-		for _, j := range jobs {
-			if _, err := j.Wait(ctx); err != nil {
-				return nil, err
-			}
-		}
+	// Fan out on the sweep farm, then aggregate serially in declaration
+	// order from its cache (RunCached recomputes an evicted entry, so
+	// correctness never depends on cache residency).
+	cells := make([]core.Cell, len(cases))
+	for i, rv := range resolved {
+		cells[i] = core.Cell{Workload: rv.Workload, Options: rv.Options}
 	}
-
-	// Aggregate serially in declaration order. These are cache hits after
-	// the fan-out; if an entry was evicted meanwhile RunCached recomputes
-	// it, so correctness never depends on cache residency.
+	if err := core.Prefetch(ctx, cells); err != nil {
+		return nil, err
+	}
 	out := make(CaseResults, 0, len(cases))
 	for i := range cases {
 		res, err := core.RunCachedContext(ctx, resolved[i].Workload, resolved[i].Options)

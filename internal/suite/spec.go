@@ -72,8 +72,8 @@ type Spec struct {
 }
 
 // Resolved is a spec bound to the simulator: the concrete workload, the
-// options the simulator runs, and the cache identity the farm, run cache
-// and durable store all key on.
+// options the simulator runs, and the cache identity the farm cache and
+// durable store both key on.
 type Resolved struct {
 	Workload workload.Workload
 	Options  core.Options
